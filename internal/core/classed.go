@@ -425,16 +425,17 @@ func SolveStackelbergClassed(cfg Config, cp miner.ClassedPopulation, opts Stacke
 	default:
 		lead, err = game.SolveLeaderFollower(esp, csp, opts.Leader)
 	}
-	if err != nil {
-		span.End(obs.Fields{"failed": true})
-		return ClassedStackelbergResult{}, fmt.Errorf("classed leader stage: %w", err)
-	}
-	// A cancellation that landed mid-grid leaves the leader result
-	// computed from abandoned (-Inf) probes: discard it rather than
-	// solving a follower stage at meaningless prices.
+	// A cancellation that landed mid-grid leaves the leader stage
+	// computed from abandoned (-Inf) probes — a meaningless result, or
+	// an error such as "no feasible price" — so report the cancellation
+	// instead: a caller may cache an ordinary error, never this one.
 	if opts.canceled() {
 		span.End(obs.Fields{"canceled": true})
 		return ClassedStackelbergResult{}, fmt.Errorf("classed stackelberg %s mode: %w", cfg.Mode, game.ErrCanceled)
+	}
+	if err != nil {
+		span.End(obs.Fields{"failed": true})
+		return ClassedStackelbergResult{}, fmt.Errorf("classed leader stage: %w", err)
 	}
 	prices := Prices{Edge: lead.PriceA, Cloud: lead.PriceB}
 	// A memoized probe at the winning prices restarts the final solve at

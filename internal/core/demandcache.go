@@ -11,10 +11,10 @@ import (
 )
 
 // DefaultDemandCacheCap bounds a demand cache when the caller does not
-// pick a cap: large enough that a single two-stage solve (a few hundred
-// grid probes) never evicts its own working set, small enough that a
-// resident server holds thousands of market caches without growing
-// without limit.
+// pick a cap. It is smaller than one two-stage solve's working set: an
+// exact or classed solve of the benchmark's price-fresh markets makes
+// 7,822 demand probes and evicts 3,726 of them at this cap, so a cache
+// kept resident across solves of one market re-solves it nearly cold.
 const DefaultDemandCacheCap = 4096
 
 // DemandCache is a bounded, concurrency-safe warm-start cache for the
@@ -38,9 +38,8 @@ const DefaultDemandCacheCap = 4096
 // market: same Config (including mode and budgets), same follower
 // options, and the same solver family (exact vs classed — the classed
 // oracle stores K representatives where the exact one stores N-miner
-// profiles). The serve layer enforces this by keying caches on the full
-// market signature; SolveStackelberg enforces nothing and will happily
-// serve stale demand if misused.
+// profiles). SolveStackelberg enforces nothing and will happily serve
+// stale demand if misused.
 //
 // Entries are evicted least-recently-used once the cap is exceeded.
 // Only completed probes enter the LRU ring, so an eviction can never

@@ -63,8 +63,11 @@ type StackelbergOptions struct {
 	CertifyClassedAfterSolve ClassedCertifier
 	// DemandCache, when non-nil, is an external warm-start cache kept
 	// resident across solves: anchor equilibria and per-price demand
-	// probes survive from one SolveStackelberg call to the next, so a
-	// repeat or near-neighbor query re-solves in a couple of sweeps.
+	// probes survive from one SolveStackelberg call to the next. A
+	// repeat solve reuses only the probes still cached; at
+	// DefaultDemandCacheCap one solve evicts about half its own probes
+	// (see DefaultDemandCacheCap), so a repeat is nearly cold unless
+	// the cap covers the whole working set.
 	// The cache must only ever be reused for the IDENTICAL market —
 	// same Config, same follower options, same exact/classed family
 	// (see DemandCache). Nil gets a fresh per-solve cache bounded by
@@ -290,16 +293,17 @@ func SolveStackelberg(cfg Config, opts StackelbergOptions) (StackelbergResult, e
 	default:
 		lead, err = game.SolveLeaderFollower(esp, csp, opts.Leader)
 	}
-	if err != nil {
-		span.End(obs.Fields{"failed": true})
-		return StackelbergResult{}, fmt.Errorf("leader stage: %w", err)
-	}
-	// A cancellation that landed mid-grid leaves the leader result
-	// computed from abandoned (-Inf) probes: discard it rather than
-	// solving a follower stage at meaningless prices.
+	// A cancellation that landed mid-grid leaves the leader stage
+	// computed from abandoned (-Inf) probes — a meaningless result, or
+	// an error such as "no feasible price" — so report the cancellation
+	// instead: a caller may cache an ordinary error, never this one.
 	if opts.canceled() {
 		span.End(obs.Fields{"canceled": true})
 		return StackelbergResult{}, fmt.Errorf("stackelberg %s mode: %w", cfg.Mode, game.ErrCanceled)
+	}
+	if err != nil {
+		span.End(obs.Fields{"failed": true})
+		return StackelbergResult{}, fmt.Errorf("leader stage: %w", err)
 	}
 	prices := Prices{Edge: lead.PriceA, Cloud: lead.PriceB}
 	// The leader search almost always probed the winning price pair; its

@@ -224,13 +224,17 @@ func SolveStackelbergTopo(cfg Config, betas []float64, opts StackelbergOptions) 
 	}
 
 	lead, err := game.SolveLeaderFollower(esp, csp, opts.Leader)
-	if err != nil {
-		span.End(obs.Fields{"failed": true})
-		return StackelbergResult{}, fmt.Errorf("topo leader stage: %w", err)
-	}
+	// A cancellation that landed mid-grid leaves the leader stage
+	// computed from abandoned (-Inf) probes — a meaningless result, or
+	// an error such as "no feasible price" — so report the cancellation
+	// instead: a caller may cache an ordinary error, never this one.
 	if opts.canceled() {
 		span.End(obs.Fields{"canceled": true})
 		return StackelbergResult{}, fmt.Errorf("stackelberg topo: %w", game.ErrCanceled)
+	}
+	if err != nil {
+		span.End(obs.Fields{"failed": true})
+		return StackelbergResult{}, fmt.Errorf("topo leader stage: %w", err)
 	}
 	prices := Prices{Edge: lead.PriceA, Cloud: lead.PriceB}
 	start := memo.profileAt(prices)

@@ -1,16 +1,18 @@
-// Package serve is the resident warm-start serving layer behind
-// cmd/minegamed: a stdlib-net/http daemon exposing the repository's
-// solvers as a batched JSON API (/v1/solve, /v1/price, /v1/certify)
-// with per-market-signature demand caches kept warm across requests, a
-// single-flight marshaled-result cache, context cancellation threaded
-// into the solver sweep loops, and graceful drain on shutdown.
+// Package serve is the resident serving layer behind cmd/minegamed: a
+// stdlib-net/http daemon exposing the repository's solvers as a batched
+// JSON API (/v1/solve, /v1/price, /v1/certify) with a single-flight
+// result cache, context cancellation threaded into the solver sweep
+// loops, and graceful drain on shutdown. /v1/certify certifies the
+// cached /v1/price (or, at fixed prices, /v1/solve) answer of the same
+// item, so pricing and certifying a market runs one solve. Two-stage
+// solves use a per-solve demand cache, the minegame CLI's code path.
 //
-// The load-bearing invariant is purity: every cached value — anchor
-// equilibria, per-price demand probes, marshaled responses — is a pure
-// function of its key, so cache reuse changes only how fast a request
-// is answered, never what it is answered with. Responses are
-// byte-identical to single-shot CLI solves at any worker count, batch
-// composition, and cache state (pinned by the determinism tests).
+// The load-bearing invariant is purity: every cached value — a solved
+// result and its marshaled response — is a pure function of its key,
+// so cache reuse changes only how fast a request is answered, never
+// what it is answered with. Responses are byte-identical to single-shot
+// CLI solves at any worker count, batch composition, and cache state
+// (pinned by the determinism tests).
 //
 // Concurrency ownership: this package is on the minelint concurrency
 // allowlist (see internal/analysis.DefaultPackageSkips) — it owns the
@@ -130,19 +132,6 @@ func (m Market) coreConfig() (core.Config, miner.ClassedPopulation, bool, error)
 	cfg.N = cp.N()
 	cfg.Budgets = []float64{m.Budget}
 	return cfg, cp, true, nil
-}
-
-// signature is the market's cache key: the compact JSON of the wire
-// struct. Two requests share warm-start state exactly when their
-// markets serialize identically — a conservative key (a reordered
-// Budgets slice is a different market) that can only split caches,
-// never alias two different markets onto one.
-func (m Market) signature() (string, error) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
 }
 
 // itemKey is the result-cache key for one batch item on one endpoint.

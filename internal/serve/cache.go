@@ -21,15 +21,18 @@ func notCacheable(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// resultCache is a bounded LRU of marshaled item responses with
+// resultCache is a bounded LRU of solved item responses with
 // single-flight semantics: concurrent requests for the same item join
 // one in-flight solve (no duplicate work — pinned by the serve race
 // tests), and a repeat request returns the exact bytes of the first,
-// byte-identity for free. Entries are pure functions of their key
-// (endpoint + full item), so reuse can never change a response.
-// Ordinary solver failures ARE cached — an infeasible market fails the
-// same way every time — but canceled computes are withdrawn and joined
-// waiters transparently retry under their own context.
+// byte-identity for free. Each entry keeps the solved value beside its
+// marshaled bytes, so /v1/certify can certify the very value /v1/price
+// or /v1/solve returned instead of solving the market again. Entries
+// are pure functions of their key (endpoint + full item), so reuse can
+// never change a response. Ordinary solver failures ARE cached — an
+// infeasible market fails the same way every time — but canceled
+// computes are withdrawn and joined waiters transparently retry under
+// their own context.
 type resultCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -41,7 +44,8 @@ type resultCache struct {
 }
 
 type resultEntry struct {
-	done     chan struct{} // closed once raw/err are populated (or the entry is abandoned)
+	done     chan struct{} // closed once val/raw/err are populated (or the entry is abandoned)
+	val      any           // the solved value raw encodes; nil on error
 	raw      []byte
 	err      error
 	canceled bool
@@ -65,10 +69,11 @@ func newResultCache(capEntries int, ob *obs.Observer) *resultCache {
 	}
 }
 
-// do returns the cached response for key, computing it via compute on
-// first request. The bool reports a cache hit (including joins on an
-// in-flight compute).
-func (c *resultCache) do(key string, compute func() ([]byte, error)) ([]byte, error, bool) {
+// do returns the cached value and its CLI-identical encoding for key,
+// computing the value via compute on first request. A joined in-flight
+// compute counts as a hit. The lock is never held across compute, so a
+// compute may itself call do on a different key.
+func (c *resultCache) do(key string, compute func() (any, error)) (any, []byte, error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
@@ -84,14 +89,22 @@ func (c *resultCache) do(key string, compute func() ([]byte, error)) ([]byte, er
 				// withdrawn; compute under our own context instead.
 				continue
 			}
-			return e.raw, e.err, true
+			return e.val, e.raw, e.err
 		}
 		e := &resultEntry{done: make(chan struct{})}
 		c.entries[key] = e
 		c.misses++
 		c.mu.Unlock()
 		c.missesC.Inc()
-		e.raw, e.err = compute()
+		val, err := compute()
+		var raw []byte
+		if err == nil {
+			raw, err = encodeResult(val)
+		}
+		if err == nil {
+			e.val, e.raw = val, raw
+		}
+		e.err = err
 		c.mu.Lock()
 		if e.err != nil && notCacheable(e.err) {
 			e.canceled = true
@@ -108,7 +121,7 @@ func (c *resultCache) do(key string, compute func() ([]byte, error)) ([]byte, er
 		}
 		c.mu.Unlock()
 		close(e.done)
-		return e.raw, e.err, false
+		return e.val, e.raw, e.err
 	}
 }
 
@@ -117,64 +130,4 @@ func (c *resultCache) stats() (hits, misses, evictions int64, entries int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.evictions, len(c.entries)
-}
-
-// marketCaches keys resident core.DemandCache instances by market
-// signature, bounded LRU-style so a server scanning an unbounded
-// market stream cannot grow without limit. Evicting a market cache
-// only costs warmth — the next request for that market cold-starts
-// exactly like its first ever request did.
-type marketCaches struct {
-	mu       sync.Mutex
-	cap      int
-	entryCap int
-	ob       *obs.Observer
-	m        map[string]*core.DemandCache
-	lru      *list.List
-	elems    map[string]*list.Element
-	evictsC  *obs.Counter
-	countG   *obs.Gauge
-}
-
-func newMarketCaches(capMarkets, entryCap int, ob *obs.Observer) *marketCaches {
-	if capMarkets <= 0 {
-		capMarkets = 256
-	}
-	if ob == nil {
-		ob = obs.Default()
-	}
-	return &marketCaches{
-		cap:      capMarkets,
-		entryCap: entryCap,
-		ob:       ob,
-		m:        make(map[string]*core.DemandCache),
-		lru:      list.New(),
-		elems:    make(map[string]*list.Element),
-		evictsC:  ob.Counter("serve.market_cache_evictions_total"),
-		countG:   ob.Gauge("serve.market_caches"),
-	}
-}
-
-// For returns the resident demand cache for one market signature,
-// creating it on first sight.
-func (mc *marketCaches) For(sig string) *core.DemandCache {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	if c, ok := mc.m[sig]; ok {
-		mc.lru.MoveToFront(mc.elems[sig])
-		return c
-	}
-	c := core.NewDemandCache(mc.entryCap, mc.ob)
-	mc.m[sig] = c
-	mc.elems[sig] = mc.lru.PushFront(sig)
-	for mc.lru.Len() > mc.cap {
-		back := mc.lru.Back()
-		old := back.Value.(string)
-		delete(mc.m, old)
-		delete(mc.elems, old)
-		mc.lru.Remove(back)
-		mc.evictsC.Inc()
-	}
-	mc.countG.Set(float64(mc.lru.Len()))
-	return c
 }

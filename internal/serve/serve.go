@@ -35,12 +35,6 @@ type Config struct {
 	Workers int
 	// MaxBatch caps the items of one request; 0 picks 1024.
 	MaxBatch int
-	// DemandCacheCap bounds each market's resident demand cache
-	// (entries per market; 0 picks core.DefaultDemandCacheCap).
-	DemandCacheCap int
-	// MarketCacheCap bounds how many distinct market signatures keep
-	// resident demand caches (0 picks 256).
-	MarketCacheCap int
 	// ResultCacheCap bounds the marshaled-response cache (0 picks
 	// core.DefaultDemandCacheCap).
 	ResultCacheCap int
@@ -69,18 +63,18 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the resident solver daemon: three batched solver endpoints
-// plus the expo telemetry surface, backed by warm-start caches that
-// survive across requests.
+// plus the expo telemetry surface, backed by a result cache that
+// survives across requests.
 //
 //	POST /v1/solve    miner subgame at fixed prices (items need pe/pc)
 //	POST /v1/price    full two-stage Stackelberg solve
-//	POST /v1/certify  solve + independent internal/verify certificate
+//	POST /v1/certify  independent internal/verify certificate of the
+//	                  /v1/price (or, with pe/pc, /v1/solve) answer
 //	GET  /metrics /healthz /readyz /debug/obs
 type Server struct {
 	cfg     Config
 	ob      *obs.Observer
 	mux     *http.ServeMux
-	markets *marketCaches
 	results *resultCache
 	ready   atomic.Bool
 
@@ -96,7 +90,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		ob:       ob,
-		markets:  newMarketCaches(cfg.MarketCacheCap, cfg.DemandCacheCap, ob),
 		results:  newResultCache(cfg.ResultCacheCap, ob),
 		reqC:     ob.Counter("serve.requests_total"),
 		reqErrC:  ob.Counter("serve.request_errors_total"),
@@ -171,7 +164,7 @@ func (s *Server) batchHandler(endpoint string) http.HandlerFunc {
 		}
 		pool := parallel.New(workers).WithObserver(s.ob)
 		outs, err := parallel.Map(pool, req.Items, func(i int, it Item) (outcome, error) {
-			raw, err := s.resolveItem(r.Context(), endpoint, it)
+			_, raw, err := s.resolve(r.Context(), endpoint, it)
 			s.itemC.Inc()
 			if err != nil {
 				s.itemErrC.Inc()
@@ -228,84 +221,83 @@ func writeEnvelope(w http.ResponseWriter, outs []outcome) {
 	_, _ = w.Write(buf) //lint:allow errflow a write failure here means the client hung up; there is no response channel left to report it on
 }
 
-// resolveItem answers one batch item through the single-flight result
-// cache: identical in-flight items coalesce onto one solve, repeats
-// return the first solve's exact bytes.
-func (s *Server) resolveItem(ctx context.Context, endpoint string, it Item) ([]byte, error) {
+// resolve answers one item on one endpoint through the single-flight
+// result cache: identical in-flight items coalesce onto one solve, and
+// repeats return the first solve's value and exact bytes.
+func (s *Server) resolve(ctx context.Context, endpoint string, it Item) (any, []byte, error) {
 	key, err := itemKey(endpoint, it)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	raw, err, _ := s.results.do(key, func() ([]byte, error) {
+	return s.results.do(key, func() (any, error) {
 		return s.computeItem(ctx, endpoint, it)
 	})
-	return raw, err
 }
 
-// computeItem runs one item's solve, producing the CLI-identical
-// marshaled result.
-func (s *Server) computeItem(ctx context.Context, endpoint string, it Item) ([]byte, error) {
+// computeItem runs one item's solve (or, on /v1/certify, certifies the
+// cached solve of the same item). A solve that reports an unconverged
+// stage is an item error, never an answer.
+func (s *Server) computeItem(ctx context.Context, endpoint string, it Item) (any, error) {
 	cfg, cp, classed, err := it.Market.coreConfig()
 	if err != nil {
 		return nil, err
 	}
 	prices := core.Prices{Edge: it.PriceE, Cloud: it.PriceC}
 	fixedPrices := it.PriceE > 0 || it.PriceC > 0
+	var v any
 	switch endpoint {
 	case "solve":
 		if !fixedPrices {
 			return nil, errors.New("solve items need fixed prices (pe/pc); use /v1/price for the two-stage solve")
 		}
 		if classed {
-			eq, err := core.SolveMinerEquilibriumClassed(cfg, cp, prices, game.NEOptions{Ctx: ctx})
-			if err != nil {
-				return nil, err
-			}
-			return encodeResult(eq)
+			v, err = core.SolveMinerEquilibriumClassed(cfg, cp, prices, game.NEOptions{Ctx: ctx})
+		} else {
+			v, err = core.SolveMinerEquilibrium(cfg, prices, game.NEOptions{Ctx: ctx})
 		}
-		eq, err := core.SolveMinerEquilibrium(cfg, prices, game.NEOptions{Ctx: ctx})
-		if err != nil {
-			return nil, err
-		}
-		return encodeResult(eq)
 	case "price":
-		opts, err := s.stackelbergOpts(ctx, it.Market)
-		if err != nil {
-			return nil, err
-		}
+		// One in-solve worker (batch items are the parallel axis) and,
+		// as on the CLI, a per-solve demand cache.
+		opts := core.StackelbergOptions{Workers: 1, Ctx: ctx, Observer: s.ob}
 		if classed {
-			res, err := core.SolveStackelbergClassed(cfg, cp, opts)
-			if err != nil {
-				return nil, err
-			}
-			return encodeResult(res)
+			v, err = core.SolveStackelbergClassed(cfg, cp, opts)
+		} else {
+			v, err = core.SolveStackelberg(cfg, opts)
 		}
-		res, err := core.SolveStackelberg(cfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		return encodeResult(res)
 	case "certify":
-		return s.computeCertify(ctx, cfg, cp, classed, it, prices, fixedPrices)
+		return s.computeCertify(ctx, cfg, cp, it, prices, fixedPrices)
 	default:
 		return nil, fmt.Errorf("unknown endpoint %q", endpoint)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return v, unconverged(v)
 }
 
-// stackelbergOpts assembles the two-stage options for one market: one
-// in-solve worker (batch items are the parallel axis), the request's
-// context, and the market's resident warm-start cache.
-func (s *Server) stackelbergOpts(ctx context.Context, m Market) (core.StackelbergOptions, error) {
-	sig, err := m.signature()
-	if err != nil {
-		return core.StackelbergOptions{}, err
+// unconverged reports a solved value whose leader or follower stage
+// did not converge. The core solvers set a two-stage result's
+// Converged from the leader stage alone, so the follower is checked
+// separately.
+func unconverged(v any) error {
+	leader, follower := true, true
+	switch r := v.(type) {
+	case core.MinerEquilibrium:
+		follower = r.Converged
+	case core.ClassedEquilibrium:
+		follower = r.Converged
+	case core.StackelbergResult:
+		leader, follower = r.Converged, r.Follower.Converged
+	case core.ClassedStackelbergResult:
+		leader, follower = r.Converged, r.Follower.Converged
 	}
-	return core.StackelbergOptions{
-		Workers:     1,
-		Ctx:         ctx,
-		Observer:    s.ob,
-		DemandCache: s.markets.For(sig),
-	}, nil
+	switch {
+	case !leader:
+		return errors.New("leader stage did not converge")
+	case !follower:
+		return errors.New("follower stage did not converge")
+	}
+	return nil
 }
 
 // certified pairs a fixed-price equilibrium with its certificate on
@@ -321,59 +313,48 @@ type certifiedFull[R any] struct {
 	Certificate verify.Certificate `json:"certificate"`
 }
 
-// computeCertify solves one item and independently certifies the
-// equilibrium via internal/verify. With fixed prices it certifies the
-// fixed-price follower subgame; otherwise the full two-stage solve
-// (classed two-stage results certify the follower at the winning
-// prices — there is no classed leader certifier yet).
-func (s *Server) computeCertify(ctx context.Context, cfg core.Config, cp miner.ClassedPopulation, classed bool, it Item, prices core.Prices, fixedPrices bool) ([]byte, error) {
-	vopts := verify.Options{}
+// computeCertify independently certifies the cached answer for the same
+// item via internal/verify: with fixed prices the /v1/solve follower
+// equilibrium, otherwise the /v1/price two-stage result (classed
+// two-stage results certify the follower at the winning prices — there
+// is no classed leader certifier yet). The answer is resolved through
+// the result cache under this request's context, so a certify that
+// follows a price of the same market runs no solve at all, and a
+// certify that comes first leaves the price answer cached.
+func (s *Server) computeCertify(ctx context.Context, cfg core.Config, cp miner.ClassedPopulation, it Item, prices core.Prices, fixedPrices bool) (any, error) {
+	inner := "price"
 	if fixedPrices {
-		if classed {
-			eq, err := core.SolveMinerEquilibriumClassed(cfg, cp, prices, game.NEOptions{Ctx: ctx})
-			if err != nil {
-				return nil, err
-			}
-			cert, err := verify.CertifyClassed(cfg, cp, prices, eq, vopts)
-			if err != nil {
-				return nil, fmt.Errorf("certificate rejected: %w", err)
-			}
-			return encodeResult(certified[core.ClassedEquilibrium]{Equilibrium: eq, Certificate: cert})
-		}
-		eq, err := core.SolveMinerEquilibrium(cfg, prices, game.NEOptions{Ctx: ctx})
-		if err != nil {
-			return nil, err
-		}
-		cert, err := verify.Certify(cfg, prices, eq, vopts)
-		if err != nil {
-			return nil, fmt.Errorf("certificate rejected: %w", err)
-		}
-		return encodeResult(certified[core.MinerEquilibrium]{Equilibrium: eq, Certificate: cert})
+		inner = "solve"
 	}
-	opts, err := s.stackelbergOpts(ctx, it.Market)
+	v, _, err := s.resolve(ctx, inner, it)
 	if err != nil {
 		return nil, err
 	}
-	if classed {
-		res, err := core.SolveStackelbergClassed(cfg, cp, opts)
-		if err != nil {
-			return nil, err
-		}
-		cert, err := verify.CertifyClassed(cfg, cp, res.Prices, res.Follower, vopts)
-		if err != nil {
-			return nil, fmt.Errorf("certificate rejected: %w", err)
-		}
-		return encodeResult(certifiedFull[core.ClassedStackelbergResult]{Result: res, Certificate: cert})
+	var (
+		cert verify.Certificate
+		out  any
+	)
+	vopts := verify.Options{}
+	switch r := v.(type) {
+	case core.MinerEquilibrium:
+		cert, err = verify.Certify(cfg, prices, r, vopts)
+		out = certified[core.MinerEquilibrium]{Equilibrium: r, Certificate: cert}
+	case core.ClassedEquilibrium:
+		cert, err = verify.CertifyClassed(cfg, cp, prices, r, vopts)
+		out = certified[core.ClassedEquilibrium]{Equilibrium: r, Certificate: cert}
+	case core.StackelbergResult:
+		cert, err = verify.CertifyStackelberg(cfg, r, vopts)
+		out = certifiedFull[core.StackelbergResult]{Result: r, Certificate: cert}
+	case core.ClassedStackelbergResult:
+		cert, err = verify.CertifyClassed(cfg, cp, r.Prices, r.Follower, vopts)
+		out = certifiedFull[core.ClassedStackelbergResult]{Result: r, Certificate: cert}
+	default:
+		return nil, fmt.Errorf("unexpected %s result %T", inner, v)
 	}
-	res, err := core.SolveStackelberg(cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	cert, err := verify.CertifyStackelberg(cfg, res, vopts)
 	if err != nil {
 		return nil, fmt.Errorf("certificate rejected: %w", err)
 	}
-	return encodeResult(certifiedFull[core.StackelbergResult]{Result: res, Certificate: cert})
+	return out, nil
 }
 
 // Run listens on cfg.Addr and serves until ctx is canceled, then

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"minegame/internal/game"
 	"minegame/internal/netmodel"
 	"minegame/internal/obs"
+	"minegame/internal/verify"
 )
 
 // testMarket is a small homogeneous connected market.
@@ -155,8 +157,8 @@ func TestSolveMatchesDirectCLIBytes(t *testing.T) {
 }
 
 // TestPriceMatchesDirectSolve pins the same contract for the two-stage
-// endpoint: the resident demand cache and batch multiplexing must not
-// change a single byte relative to a fresh direct solve.
+// endpoint: the result cache and batch multiplexing must not change a
+// single byte relative to a fresh direct solve.
 func TestPriceMatchesDirectSolve(t *testing.T) {
 	_, ts := newTestServer(t)
 	req := Request{Items: []Item{{Market: testMarket()}}, Workers: 4}
@@ -219,69 +221,102 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // TestRaceHammerSingleFlight hammers one server from many goroutines
-// with overlapping items and pins, by counter, that the single-flight
-// result cache never ran a duplicate solve — and that every response is
-// byte-identical to the sequential reference. Run under -race this is
-// also the package's data-race gate.
+// with overlapping items on all three endpoints and pins, by counter,
+// that the single-flight result cache never ran a duplicate solve —
+// price and certify of one market share exactly one two-stage solve —
+// and that every response is byte-identical to the sequential
+// reference. Run under -race this is also the package's data-race gate.
 func TestRaceHammerSingleFlight(t *testing.T) {
 	s, ts := newTestServer(t)
-	req := Request{Items: []Item{
-		{Market: testMarket(), PriceE: 8, PriceC: 4},
-		{Market: classedMarket(), PriceE: 8, PriceC: 4},
-	}, Workers: 2}
+	markets := []Market{testMarket(), classedMarket()}
+	reqs := map[string]Request{}
+	for _, ep := range []string{"solve", "price", "certify"} {
+		var items []Item
+		for _, m := range markets {
+			it := Item{Market: m}
+			if ep == "solve" {
+				it.PriceE, it.PriceC = 8, 4
+			}
+			items = append(items, it)
+		}
+		reqs[ep] = Request{Items: items, Workers: 2}
+	}
+	// Goroutines alternate the endpoint order, so certify sometimes
+	// arrives before, and sometimes joins, the price solve it reuses.
+	orders := [][]string{{"solve", "price", "certify"}, {"certify", "solve", "price"}}
 
-	// Sequential reference from an independent cold server.
+	// Sequential references from an independent cold server.
 	_, refTS := newTestServer(t)
-	status, want := post(t, refTS.URL, "/v1/solve", Request{Items: req.Items, Workers: 1})
-	if status != http.StatusOK {
-		t.Fatalf("reference status %d: %s", status, want)
+	want := map[string][]byte{}
+	for ep, req := range reqs {
+		status, raw := post(t, refTS.URL, "/v1/"+ep, Request{Items: req.Items, Workers: 1})
+		if status != http.StatusOK {
+			t.Fatalf("%s reference status %d: %s", ep, status, raw)
+		}
+		want[ep] = raw
 	}
 
 	const goroutines = 8
 	const repeats = 5
-	responses := make([][]byte, goroutines*repeats)
+	type response struct {
+		ep  string
+		raw []byte
+	}
+	responses := make([]response, goroutines*repeats*len(reqs))
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < repeats; r++ {
-				body, _ := json.Marshal(req)
-				resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
-				if err != nil {
-					t.Errorf("goroutine %d: %v", g, err)
-					return
+				for k, ep := range orders[g%len(orders)] {
+					body, _ := json.Marshal(reqs[ep])
+					resp, err := http.Post(ts.URL+"/v1/"+ep, "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Errorf("goroutine %d: %v", g, err)
+						return
+					}
+					raw, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil {
+						t.Errorf("goroutine %d: read: %v", g, err)
+						return
+					}
+					responses[(g*repeats+r)*len(reqs)+k] = response{ep: ep, raw: raw}
 				}
-				raw, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					t.Errorf("goroutine %d: read: %v", g, err)
-					return
-				}
-				responses[g*repeats+r] = raw
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	for i, raw := range responses {
-		if !bytes.Equal(raw, want) {
-			t.Fatalf("response %d differs from sequential reference\ngot:  %s\nwant: %s", i, raw, want)
+	for i, r := range responses {
+		if !bytes.Equal(r.raw, want[r.ep]) {
+			t.Fatalf("response %d (%s) differs from sequential reference\ngot:  %s\nwant: %s", i, r.ep, r.raw, want[r.ep])
 		}
 	}
 
-	// Single-flight pin: 2 distinct items were requested 80 times each
-	// concurrently; exactly 2 solves may have run.
+	// Single-flight pin: each distinct (endpoint, item) key computed
+	// once. Every certify compute adds one inner lookup of the price
+	// entry it certifies.
+	distinct := int64(len(reqs) * len(markets))
+	lookups := int64(goroutines*repeats*len(reqs)*len(markets)) + int64(len(markets))
 	hits, misses, _, entries := s.results.stats()
-	wantCalls := int64(goroutines * repeats * len(req.Items))
-	if misses != int64(len(req.Items)) {
-		t.Errorf("result cache misses = %d, want %d (duplicate solves ran)", misses, len(req.Items))
+	if misses != distinct {
+		t.Errorf("result cache misses = %d, want %d (duplicate solves ran)", misses, distinct)
 	}
-	if hits != wantCalls-int64(len(req.Items)) {
-		t.Errorf("result cache hits = %d, want %d", hits, wantCalls-int64(len(req.Items)))
+	if hits != lookups-distinct {
+		t.Errorf("result cache hits = %d, want %d", hits, lookups-distinct)
 	}
-	if entries != len(req.Items) {
-		t.Errorf("result cache entries = %d, want %d", entries, len(req.Items))
+	if entries != int(distinct) {
+		t.Errorf("result cache entries = %d, want %d", entries, distinct)
+	}
+	// Exactly one two-stage solve per distinct market, shared by price
+	// and certify.
+	snap := s.ob.Snapshot()
+	for _, span := range []string{"core.stackelberg.ms", "core.stackelberg_classed.ms"} {
+		if n := snap.Histograms[span].Count; n != 1 {
+			t.Errorf("%s count = %d, want 1", span, n)
+		}
 	}
 }
 
@@ -311,6 +346,259 @@ func TestCertifyEndpoint(t *testing.T) {
 	}
 	if !bytes.Contains(env.Items[1].Result, []byte(`"result"`)) {
 		t.Errorf("two-stage certify should wrap a stackelberg result")
+	}
+}
+
+// itemResult posts a one-item request and returns the item's result
+// compacted, failing the test on any error.
+func itemResult(t *testing.T, url, path string, it Item) []byte {
+	t.Helper()
+	status, raw := post(t, url, path, Request{Items: []Item{it}})
+	if status != http.StatusOK {
+		t.Fatalf("%s status %d: %s", path, status, raw)
+	}
+	env := decodeEnvelope(t, raw)
+	if env.Items[0].Error != "" {
+		t.Fatalf("%s item error: %s", path, env.Items[0].Error)
+	}
+	return compactJSON(t, env.Items[0].Result)
+}
+
+// compactJSON strips insignificant whitespace, so a result embedded in
+// a certify answer compares byte for byte with the bare answer.
+func compactJSON(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.Compact(&b, raw); err != nil {
+		t.Fatalf("compact: %v\n%s", err, raw)
+	}
+	return b.Bytes()
+}
+
+// certifiedAnswer decodes a certify result into its embedded answer
+// (result or equilibrium) and checks the certificate passed.
+func certifiedAnswer(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var ca struct {
+		Result      json.RawMessage    `json:"result"`
+		Equilibrium json.RawMessage    `json:"equilibrium"`
+		Certificate verify.Certificate `json:"certificate"`
+	}
+	if err := json.Unmarshal(raw, &ca); err != nil {
+		t.Fatalf("decode certify answer: %v", err)
+	}
+	if !ca.Certificate.OK {
+		t.Fatalf("certificate failed: %v", ca.Certificate.Err())
+	}
+	if ca.Result != nil {
+		return compactJSON(t, ca.Result)
+	}
+	return compactJSON(t, ca.Equilibrium)
+}
+
+// TestCertifyReusesPriceSolve pins that a two-stage certify following a
+// price of the same market runs no demand probe, and that the result it
+// certifies is the price answer and the direct CLI-path solve.
+func TestCertifyReusesPriceSolve(t *testing.T) {
+	for _, m := range []Market{heteroMarket(), classedMarket()} {
+		s, ts := newTestServer(t)
+		probes := s.ob.Counter("core.demand_probes_total")
+		price := itemResult(t, ts.URL, "/v1/price", Item{Market: m})
+		before := probes.Value()
+		if before == 0 {
+			t.Fatal("price ran no demand probes; the counter pin would be vacuous")
+		}
+		cert := itemResult(t, ts.URL, "/v1/certify", Item{Market: m})
+		if after := probes.Value(); after != before {
+			t.Errorf("certify ran %d demand probes, want 0", after-before)
+		}
+		if got := certifiedAnswer(t, cert); !bytes.Equal(got, price) {
+			t.Errorf("certified result differs from the price answer\ncertified: %s\nprice:     %s", got, price)
+		}
+
+		cfg, cp, classed, err := m.coreConfig()
+		if err != nil {
+			t.Fatalf("coreConfig: %v", err)
+		}
+		var direct any
+		if classed {
+			direct, err = core.SolveStackelbergClassed(cfg, cp, core.StackelbergOptions{Workers: 1})
+		} else {
+			direct, err = core.SolveStackelberg(cfg, core.StackelbergOptions{Workers: 1})
+		}
+		if err != nil {
+			t.Fatalf("direct solve: %v", err)
+		}
+		if want := compactJSON(t, cliBytes(t, direct)); !bytes.Equal(price, want) {
+			t.Errorf("price answer differs from the direct CLI-path solve\nserved: %s\ndirect: %s", price, want)
+		}
+	}
+}
+
+// TestPriceAfterCertifyHitsCache pins the other order: a certify leaves
+// the price answer cached, so the price that follows is a result-cache
+// hit with the cold answer's bytes.
+func TestPriceAfterCertifyHitsCache(t *testing.T) {
+	s, ts := newTestServer(t)
+	it := Item{Market: testMarket()}
+	cert := itemResult(t, ts.URL, "/v1/certify", it)
+	hits0, misses0, _, _ := s.results.stats()
+	price := itemResult(t, ts.URL, "/v1/price", it)
+	hits, misses, _, _ := s.results.stats()
+	if hits-hits0 != 1 || misses != misses0 {
+		t.Errorf("price after certify: hits +%d misses +%d, want +1 +0", hits-hits0, misses-misses0)
+	}
+	if got := certifiedAnswer(t, cert); !bytes.Equal(got, price) {
+		t.Errorf("price answer differs from the certified result")
+	}
+	_, coldTS := newTestServer(t)
+	if cold := itemResult(t, coldTS.URL, "/v1/price", it); !bytes.Equal(price, cold) {
+		t.Errorf("cached price answer differs from a cold server's")
+	}
+}
+
+// TestFixedPriceCertifyReusesSolve pins that a fixed-price certify
+// certifies the cached /v1/solve answer of the same item.
+func TestFixedPriceCertifyReusesSolve(t *testing.T) {
+	for _, m := range []Market{heteroMarket(), classedMarket()} {
+		s, ts := newTestServer(t)
+		it := Item{Market: m, PriceE: 8, PriceC: 4}
+		solved := itemResult(t, ts.URL, "/v1/solve", it)
+		hits0, misses0, _, _ := s.results.stats()
+		cert := itemResult(t, ts.URL, "/v1/certify", it)
+		hits, misses, _, _ := s.results.stats()
+		// One miss for the certify entry, one hit on the solve entry.
+		if hits-hits0 != 1 || misses-misses0 != 1 {
+			t.Errorf("certify after solve: hits +%d misses +%d, want +1 +1", hits-hits0, misses-misses0)
+		}
+		if got := certifiedAnswer(t, cert); !bytes.Equal(got, solved) {
+			t.Errorf("certified equilibrium differs from the solve answer")
+		}
+	}
+}
+
+// TestDistinctItemsNeverShareEntries pins the result-cache key: items
+// that differ in any market field or endpoint get their own entry, and
+// identical items share one.
+func TestDistinctItemsNeverShareEntries(t *testing.T) {
+	s, ts := newTestServer(t)
+	m2 := testMarket()
+	m2.Reward = 101
+	a := itemResult(t, ts.URL, "/v1/price", Item{Market: testMarket()})
+	b := itemResult(t, ts.URL, "/v1/price", Item{Market: m2})
+	if bytes.Equal(a, b) {
+		t.Error("distinct markets got the same answer")
+	}
+	if _, misses, _, entries := s.results.stats(); misses != 2 || entries != 2 {
+		t.Errorf("two distinct markets: misses %d entries %d, want 2 2", misses, entries)
+	}
+	if again := itemResult(t, ts.URL, "/v1/price", Item{Market: testMarket()}); !bytes.Equal(again, a) {
+		t.Error("identical market answered differently")
+	}
+	if hits, misses, _, _ := s.results.stats(); hits != 1 || misses != 2 {
+		t.Errorf("identical repeat: hits %d misses %d, want 1 2", hits, misses)
+	}
+	for _, ep := range []string{"solve", "certify"} {
+		k1, err := itemKey("price", Item{Market: testMarket()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k2, err := itemKey(ep, Item{Market: testMarket()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k1 == k2 {
+			t.Errorf("price and %s share a key", ep)
+		}
+	}
+}
+
+// TestCanceledCertifyCachesNothing cancels a certify while its inner
+// price solve is probing and pins that neither the certify nor the
+// price entry is cached, and that a later certify computes both.
+func TestCanceledCertifyCachesNothing(t *testing.T) {
+	s, _ := newTestServer(t)
+	it := Item{Market: heteroMarket()}
+	probes := s.ob.Counter("core.demand_probes_total")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stop := make(chan struct{})
+	canceled := make(chan struct{})
+	go func() {
+		defer close(canceled)
+		for probes.Value() == 0 {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+		cancel()
+	}()
+	_, _, err := s.resolve(ctx, "certify", it)
+	close(stop)
+	<-canceled
+	if !notCacheable(err) {
+		t.Fatalf("canceled certify returned %v, want a cancellation", err)
+	}
+	if _, _, _, entries := s.results.stats(); entries != 0 {
+		t.Fatalf("canceled certify left %d entries cached, want 0", entries)
+	}
+	if _, _, err := s.resolve(context.Background(), "certify", it); err != nil {
+		t.Fatalf("certify after cancellation: %v", err)
+	}
+	if _, misses, _, entries := s.results.stats(); entries != 2 || misses != 4 {
+		t.Errorf("after a live certify: entries %d misses %d, want 2 4", entries, misses)
+	}
+}
+
+// TestUnconvergedIsItemError pins the convergence gate: a result whose
+// leader or follower stage did not converge is an error, cached like
+// any other deterministic failure, and converged results pass.
+func TestUnconvergedIsItemError(t *testing.T) {
+	conv := core.MinerEquilibrium{Converged: true}
+	classedConv := core.ClassedEquilibrium{Converged: true}
+	cases := []struct {
+		name string
+		v    any
+		want string
+	}{
+		{"solve", core.MinerEquilibrium{}, "follower"},
+		{"solve converged", conv, ""},
+		{"classed solve", core.ClassedEquilibrium{}, "follower"},
+		{"classed solve converged", classedConv, ""},
+		{"price leader", core.StackelbergResult{Follower: conv}, "leader"},
+		{"price follower", core.StackelbergResult{Converged: true}, "follower"},
+		{"price converged", core.StackelbergResult{Converged: true, Follower: conv}, ""},
+		{"classed price leader", core.ClassedStackelbergResult{Follower: classedConv}, "leader"},
+		{"classed price follower", core.ClassedStackelbergResult{Converged: true}, "follower"},
+		{"classed price converged", core.ClassedStackelbergResult{Converged: true, Follower: classedConv}, ""},
+	}
+	for _, c := range cases {
+		err := unconverged(c.v)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one naming the %s stage", c.name, err, c.want)
+		}
+	}
+
+	rc := newResultCache(0, obs.New())
+	calls := 0
+	for i := 0; i < 2; i++ {
+		_, raw, err := rc.do("k", func() (any, error) {
+			calls++
+			v := core.StackelbergResult{Converged: true}
+			return v, unconverged(v)
+		})
+		if err == nil || raw != nil {
+			t.Fatalf("unconverged result served: raw %q err %v", raw, err)
+		}
+	}
+	if calls != 1 {
+		t.Errorf("unconverged failure computed %d times, want 1 (cached)", calls)
 	}
 }
 
@@ -433,46 +721,6 @@ func TestDrainFlipsReadiness(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run never returned after drain")
-	}
-}
-
-// TestMarketSignatureSplitsCaches pins that distinct markets never
-// share a demand cache and identical markets do.
-func TestMarketSignatureSplitsCaches(t *testing.T) {
-	mc := newMarketCaches(0, 0, obs.Default())
-	a1, err := testMarket().signature()
-	if err != nil {
-		t.Fatalf("signature: %v", err)
-	}
-	m2 := testMarket()
-	m2.Reward = 101
-	a2, err := m2.signature()
-	if err != nil {
-		t.Fatalf("signature: %v", err)
-	}
-	if a1 == a2 {
-		t.Fatal("distinct markets share a signature")
-	}
-	if mc.For(a1) != mc.For(a1) {
-		t.Error("same signature resolved to different caches")
-	}
-	if mc.For(a1) == mc.For(a2) {
-		t.Error("different signatures share a cache")
-	}
-}
-
-// TestMarketCachesEviction pins the bounded market registry: the LRU
-// market's warm state is dropped once the cap is exceeded.
-func TestMarketCachesEviction(t *testing.T) {
-	mc := newMarketCaches(2, 0, obs.Default())
-	c1 := mc.For("a")
-	mc.For("b")
-	mc.For("c") // evicts "a"
-	if mc.For("a") == c1 {
-		t.Error("evicted market cache came back identical; want a fresh cold cache")
-	}
-	if got := mc.lru.Len(); got != 2 {
-		t.Errorf("registry holds %d caches, want cap 2", got)
 	}
 }
 
